@@ -9,7 +9,15 @@ import (
 	"dynctrl/internal/tree"
 )
 
-var churnSpec = streamSpec{streams: 16, chunk: 128, topoPct: 20, maxLive: 16}
+// churnSpec is the churn-wal workload's generator shape.
+var churnSpec = func() streamSpec {
+	for _, w := range workloads {
+		if w.name == "churn-wal" {
+			return w.spec
+		}
+	}
+	panic("no churn-wal workload")
+}()
 
 // applyMirror executes one request on a local tree with the controller's
 // validity rules and returns the answer the daemon would give.

@@ -34,7 +34,7 @@ type layerJSON struct {
 }
 
 // runSeconds is the measured window the benchmark's runs use.
-const runSeconds = 20
+const runSeconds = 24
 
 func wantBenchmark() benchmarkFile {
 	b := benchmarkFile{

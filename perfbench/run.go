@@ -47,6 +47,7 @@ type runInfo struct {
 	TreeNodesMax   float64   `json:"tree_nodes_max"`
 	WindowRates    []float64 `json:"window_decisions_per_s"`
 	WindowP99      []float64 `json:"window_latency_p99_us"`
+	SpanHeap       []float64 `json:"span_peak_heap_mb"`
 	Checks         []check   `json:"checks"`
 }
 
@@ -149,9 +150,9 @@ func (b *bandSampler) finish() []float64 {
 // life is what one daemon lifetime measured.
 type life struct {
 	rate, cpu, p50, p99 []float64 // per sub-window
+	heap                []float64 // peak live heap per heapSpan, MiB
 	samples             int64     // latency samples
 	tl                  tally
-	peak                uint64    // peak live heap, bytes
 	nodes               []float64 // tree sizes seen
 	lag                 *hist     // open loop: send minus due
 	w0, w1              window
@@ -253,19 +254,18 @@ func (r *run) execute() (*result, *runInfo, error) {
 	// burst of interference on the shared machine moves one sub-window,
 	// not the run's result.
 	var (
-		rate, cpu, p50, p99, nodes []float64
-		tl                         tally
-		peak                       uint64
+		rate, cpu, p50, p99, heap, nodes []float64
+		tl                               tally
 	)
 	for _, lf := range lives {
 		rate, cpu = append(rate, lf.rate...), append(cpu, lf.cpu...)
 		p50, p99 = append(p50, lf.p50...), append(p99, lf.p99...)
+		heap = append(heap, lf.heap...)
 		nodes = append(nodes, lf.nodes...)
 		tl.add(lf.tl)
-		peak = max(peak, lf.peak)
 		info.LatencySamples += lf.samples
 	}
-	info.WindowRates, info.WindowP99 = rate, p99
+	info.WindowRates, info.WindowP99, info.SpanHeap = rate, p99, heap
 	info.TreeNodesMin, info.TreeNodesMax = minMax(nodes)
 	e2e := map[string]float64{
 		"decisions_per_s":     median(rate),
@@ -273,7 +273,7 @@ func (r *run) execute() (*result, *runInfo, error) {
 		"latency_p99_us":      median(p99),
 		"cpu_us_per_decision": median(cpu),
 		"setup_s":             median(setups),
-		"peak_heap_mb":        float64(peak) / (1 << 20),
+		"peak_heap_mb":        median(heap),
 	}
 
 	vals, defs := e2e, endToEnd
@@ -373,7 +373,11 @@ func (r *run) lifetime(d *daemon, walDir string, tr0 *tree.Tree, n int, rec *rec
 		loop.lat.Store(ring[0])
 	}
 	lf.w0 = sample(d.srv, answered())
-	heap := startHeapSampler(heapEvery)
+	var heapDone func() bool
+	if loop != nil && r.wl.heapReqs > 0 {
+		heapDone = func() bool { return loop.answeredNow() >= r.wl.heapReqs }
+	}
+	heap := startHeapSampler(heapEvery, heapDone)
 	var band *bandSampler
 	if r.wl.spec.topoPct > 0 {
 		band = startBandSampler(d.srv)
@@ -381,6 +385,9 @@ func (r *run) lifetime(d *daemon, walDir string, tr0 *tree.Tree, n int, rec *rec
 	ticks := []tick{{at: lf.w0.at, answered: lf.w0.answered, cpu: lf.w0.cpu}}
 	for k := 1; k <= n; k++ {
 		time.Sleep(time.Until(start.Add(r.wl.warmup + time.Duration(k)*r.wl.window)))
+		if k == n || time.Duration(k)*r.wl.window/heapSpan > time.Duration(k-1)*r.wl.window/heapSpan {
+			lf.heap = append(lf.heap, float64(heap.cut())/(1<<20))
+		}
 		if k == n {
 			lf.w1 = sample(d.srv, answered())
 			ticks = append(ticks, tick{at: lf.w1.at, answered: lf.w1.answered, cpu: lf.w1.cpu})
@@ -399,7 +406,7 @@ func (r *run) lifetime(d *daemon, walDir string, tr0 *tree.Tree, n int, rec *rec
 			done(ring[(k-2)%3])
 		}
 	}
-	lf.peak = heap.finish()
+	heap.finish()
 	if band != nil {
 		lf.nodes = band.finish()
 	}

@@ -144,24 +144,33 @@ func procIO() (syscr, syscw int64) {
 
 // heapSampler polls the Go heap's live bytes (what the latest garbage
 // collection found reachable) without stopping the world, and keeps the
-// peak. Live bytes, unlike the heap in use, do not swing with where the
-// collector happens to be in its cycle when a sample is taken.
+// peak of each span between cuts. Live bytes, unlike the heap in use, do
+// not swing with where the collector happens to be in its cycle when a
+// sample is taken.
 type heapSampler struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64 // read once done is closed
+	stop   chan struct{}
+	done   chan struct{}
+	final  func() bool   // when set and true, the span's peak is final
+	window atomic.Uint64 // peak since the last cut
 }
 
-func startHeapSampler(every time.Duration) *heapSampler {
-	hs := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+func liveHeap() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// startHeapSampler polls every interval. final, if not nil, freezes the
+// current span's peak once it returns true.
+func startHeapSampler(every time.Duration, final func() bool) *heapSampler {
+	hs := &heapSampler{stop: make(chan struct{}), done: make(chan struct{}), final: final}
+	hs.window.Store(liveHeap())
 	go func() {
 		defer close(hs.done)
 		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
-			metrics.Read(samples)
-			hs.peak = max(hs.peak, samples[0].Value.Uint64())
+			hs.raise(liveHeap())
 			select {
 			case <-hs.stop:
 				return
@@ -172,9 +181,23 @@ func startHeapSampler(every time.Duration) *heapSampler {
 	return hs
 }
 
-// finish stops the sampler and returns the peak in bytes.
-func (hs *heapSampler) finish() uint64 {
+func (hs *heapSampler) raise(v uint64) {
+	if hs.final != nil && hs.final() {
+		return
+	}
+	for old := hs.window.Load(); v > old && !hs.window.CompareAndSwap(old, v); old = hs.window.Load() {
+	}
+}
+
+// cut ends a span: it returns the span's peak in bytes and starts the
+// next one from the live bytes now.
+func (hs *heapSampler) cut() uint64 {
+	hs.raise(liveHeap())
+	return hs.window.Swap(liveHeap())
+}
+
+// finish stops the sampler.
+func (hs *heapSampler) finish() {
 	close(hs.stop)
 	<-hs.done
-	return hs.peak
 }
